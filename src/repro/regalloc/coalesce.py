@@ -6,12 +6,13 @@ and the two live ranges merged.  Our front end emits a copy for every
 source-level assignment, so coalescing is what turns those assignments
 back into register renamings.
 
-Each *round* builds the interference graphs once and then merges every
-coalescable copy found, maintaining merged adjacency with a union-find
+Each *round* merges every coalescable copy under the interference graphs
+of the current IR, maintaining merged adjacency with a union-find
 (testing group-against-group interference via bit masks), then rewrites
-the IR.  Rounds repeat until a fixed point — merging two ranges can make
-another copy coalescable or, conversely, make it interfere, which is why
-the graph must be rebuilt between rounds.
+the IR.  :func:`coalesce_to_fixed_point` is the build phase's loop:
+build, merge, and rebuild only if the round merged something — a merge
+can make another copy coalescable or make it interfere.  The round that
+merges nothing leaves the IR as it was, so its graphs are the pass's.
 
 Restrictions:
 
@@ -31,11 +32,9 @@ colorable graph into an uncolorable one.  Kept as an ablation knob; the
 from __future__ import annotations
 
 from repro.analysis.bitset import iter_bits, popcount
-from repro.analysis.cfg import CFG
-from repro.analysis.liveness import Liveness
 from repro.ir.function import Function
-from repro.ir.values import RClass
 from repro.machine.target import Target
+from repro.observability.trace import NULL_TRACER
 from repro.regalloc.interference import build_interference_graphs
 
 
@@ -66,14 +65,10 @@ def _conservative_ok(graph, state, k, root_a, root_b, find) -> bool:
     return True
 
 
-def _coalesce_round(function: Function, target: Target,
-                    strategy: str = "aggressive") -> int:
-    """One build-and-merge round; returns the number of copies removed."""
-    liveness = Liveness(function, CFG(function))
-    graphs = build_interference_graphs(
-        function, target, liveness, rclasses=(RClass.INT, RClass.FLOAT)
-    )
-
+def _merge_round(function: Function, graphs: dict, strategy: str) -> int:
+    """Merge every coalescable copy under ``graphs`` (the interference
+    graphs of ``function`` as it stands) and rewrite the IR; returns the
+    number of copies removed.  The IR is untouched when that is 0."""
     # Union-find over graph nodes, per class, with merged adjacency masks.
     state = {}
     for rclass, graph in graphs.items():
@@ -166,24 +161,35 @@ def _pick_representative(members: list, params: set):
     return min(pool, key=lambda v: v.id)
 
 
-def coalesce_copies(
-    function: Function,
-    target: Target,
-    max_rounds: int = 50,
-    strategy: str = "aggressive",
-) -> int:
+def coalesce_to_fixed_point(function: Function, build,
+                            strategy: str = "aggressive",
+                            tracer=NULL_TRACER) -> tuple:
+    """Build, merge, and rebuild only if something merged; every merging
+    round removes a copy, so this ends.  ``build()`` returns the
+    ``{rclass: InterferenceGraph}`` of ``function``'s current IR.  Returns
+    ``(copies removed, graphs of the coalesced code)``.  Each merge round
+    is traced as a ``coalesce`` span."""
+    if strategy not in ("aggressive", "conservative"):
+        raise ValueError(f"unknown coalescing strategy {strategy!r}")
+    total = 0
+    graphs = build()
+    while True:
+        with tracer.span("coalesce", cat="step"):
+            removed = _merge_round(function, graphs, strategy)
+        if removed == 0:
+            return total, graphs
+        total += removed
+        graphs = build()
+
+
+def coalesce_copies(function: Function, target: Target,
+                    strategy: str = "aggressive") -> int:
     """Coalesce until no copy can be merged.
 
     ``strategy`` is ``"aggressive"`` (Chaitin, the paper's build phase) or
     ``"conservative"`` (Briggs's later safe test).  Returns the total
     number of copies removed.
     """
-    if strategy not in ("aggressive", "conservative"):
-        raise ValueError(f"unknown coalescing strategy {strategy!r}")
-    total = 0
-    for _round in range(max_rounds):
-        removed = _coalesce_round(function, target, strategy)
-        if removed == 0:
-            break
-        total += removed
-    return total
+    return coalesce_to_fixed_point(
+        function, lambda: build_interference_graphs(function, target), strategy
+    )[0]

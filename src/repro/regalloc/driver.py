@@ -2,15 +2,19 @@
 
 ::
 
-    renumber -> build -> coalesce -> spill costs -> simplify -> select
-         ^                                             |          |
-         |                 spill code  <---------------+----------+
-         +--------------------------------------------(if any spills)
+    renumber -> build <-> coalesce -> spill costs -> simplify -> select
+         ^                                                 |          |
+         |                   spill code  <-----------------+----------+
+         +------------------------------------------------(if any spills)
 
 Each pass times its phases (Figure 7) and records what spilled (Figures
 5/6).  Both register classes are allocated in the same pass — the RT/PC's
 GPRs and FPRs interfere only within their own file — and a pass that
 spills in either class re-runs the cycle for the whole function.
+
+A pass builds its graphs (liveness on the cached CFG, both classes in one
+walk) once, plus once after each coalescing round that merged something:
+the graphs of the round that merged nothing are the ones colored.
 
 The loop reuses what later passes cannot change: spill code only inserts
 instructions *inside* existing blocks, so the CFG and the loop nesting of
@@ -53,10 +57,10 @@ from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.ir.values import RClass
 from repro.machine.target import Target
-from repro.observability.trace import NULL_TRACER, Tracer, coerce_tracer
+from repro.observability.trace import NULL_TRACER, coerce_tracer
 from repro.regalloc.briggs import BriggsAllocator
 from repro.regalloc.chaitin import ChaitinAllocator
-from repro.regalloc.coalesce import coalesce_copies
+from repro.regalloc.coalesce import coalesce_to_fixed_point
 from repro.regalloc.interference import (
     build_interference_graph,
     build_interference_graphs,
@@ -297,6 +301,15 @@ def _run_cycle(function, target, strategy, coalesce, renumber,
         # aggressive strategy settles.
         build_settled = False
 
+        def build() -> dict:
+            """The pass's one graph build, on the cached CFG."""
+            with tracer.span("liveness", cat="step"):
+                liveness = Liveness(function, cfg)
+            with tracer.span("interference", cat="step"):
+                return build_interference_graphs(
+                    function, target, liveness, rclasses=_CLASSES
+                )
+
         for pass_index in range(1, max_passes + 1):
             with tracer.span(f"pass:{pass_index}", cat="pass"):
                 pass_stats = PassStats(pass_index)
@@ -313,15 +326,18 @@ def _run_cycle(function, target, strategy, coalesce, renumber,
                         else:
                             with tracer.span("renumber", cat="step"):
                                 pass_stats.webs_split = split_webs(function)
-                    if coalesce:
-                        if build_settled:
-                            reused.append("coalesce")
-                        else:
-                            with tracer.span("coalesce", cat="step"):
-                                pass_stats.coalesced = coalesce_copies(
-                                    function, target,
-                                    strategy=coalesce_strategy,
-                                )
+                    if coalesce and build_settled:
+                        reused.append("coalesce")
+                    if cfg is None:
+                        cfg = CFG(function)
+                    else:
+                        reused.append("cfg")
+                    if coalesce and not build_settled:
+                        pass_stats.coalesced, graphs = coalesce_to_fixed_point(
+                            function, build, coalesce_strategy, tracer
+                        )
+                    else:
+                        graphs = build()
                     if not build_settled:
                         coalesce_quiet = not coalesce or (
                             pass_stats.coalesced == 0
@@ -329,21 +345,11 @@ def _run_cycle(function, target, strategy, coalesce, renumber,
                         )
                         if pass_stats.webs_split == 0 and coalesce_quiet:
                             build_settled = True
-                    if cfg is None:
-                        cfg = CFG(function)
-                    else:
-                        reused.append("cfg")
-                    with tracer.span("liveness", cat="step"):
-                        liveness = Liveness(function, cfg)
                     if loop_info is None:
                         loop_info = annotate_loop_depths(function, cfg)
                     else:
                         reused.append("loops")
                     pass_stats.reused = tuple(reused)
-                    with tracer.span("interference", cat="step"):
-                        graphs = build_interference_graphs(
-                            function, target, liveness, rclasses=_CLASSES
-                        )
                     with tracer.span("spill_costs", cat="step"):
                         costs = compute_spill_costs(function, loop_info)
                     pass_stats.live_ranges = sum(
@@ -550,24 +556,6 @@ class ModuleAllocation:
         )
 
 
-def _allocate_worker(function, target, method, kwargs, trace=False):
-    """Pre-pool process-pool entry point, kept as the transport-free
-    reference: allocate one pickled function copy in-process.
-
-    Returns ``(result, trace_snapshot)``.  The persistent-pool path
-    (:mod:`repro.regalloc.pool`) supersedes this for dispatch — workers
-    there receive wire text, not pickled functions — but the semantics
-    (fresh tracer stamped with the worker's pid, snapshot shipped back)
-    are identical, and the wire round-trip property tests pin the two
-    transports to the same results.
-    """
-    tracer = Tracer() if trace else None
-    result = allocate_function(
-        function, target, method, tracer=tracer, **kwargs
-    )
-    return result, (tracer.snapshot() if trace else None)
-
-
 def _fresh_copy(function: Function) -> Function:
     """An independent deep copy (pickle round trip, the same mechanism
     that ships functions to workers) so retries start from pristine IR."""
@@ -767,7 +755,7 @@ def _parallel_results(module, functions, target, method, kwargs, jobs,
     def collect(function, response, started, ckpt_key=None):
         """Materialize one response into ``results``, or run it through
         retry + policy; mirrors the per-function semantics of the
-        pre-pool driver.  With a checkpoint attached, the outcome —
+        serial path.  With a checkpoint attached, the outcome —
         success, absorbed failure, degraded substitute — is journaled
         so a killed process resumes from it."""
         before = len(failures)

@@ -140,6 +140,19 @@ class TestRecovery:
         assert records == []
         assert recovery.torn
 
+    def test_case_flip_in_checksum_detected(self, path):
+        raw = self._write(path, [{"n": 0}])
+        start = len(JOURNAL_MAGIC) + 1 + 2  # first hex digit after "R "
+        digest = raw[start:start + 64]
+        # Upper-casing one hex letter is a single-bit flip (0x20).
+        pos = start + next(i for i, c in enumerate(digest) if c in b"abcdef")
+        mutated = bytearray(raw)
+        mutated[pos] ^= 0x20
+        path.write_bytes(bytes(mutated))
+        records, recovery = read_journal(path)
+        assert records == []
+        assert recovery.torn
+
     def test_wrong_magic_rejected_entirely(self, path):
         self._write(path, [{"n": 0}])
         raw = path.read_bytes().replace(b"/1", b"/9", 1)

@@ -1,9 +1,14 @@
 """Tests for aggressive copy coalescing."""
 
+import pytest
+
 from repro.analysis import split_webs
 from repro.frontend import compile_source
 from repro.machine import rt_pc, run_module
-from repro.regalloc import coalesce_copies
+from repro.regalloc import allocate_function, coalesce_copies
+from repro.regalloc import coalesce as coalesce_mod
+from repro.regalloc import driver as driver_mod
+from repro.workloads import get_workload
 
 
 def compiled_module(source):
@@ -94,3 +99,40 @@ class TestSemanticsPreserved:
                 split_webs(function)
                 coalesce_copies(function, rt_pc())
             assert run_module(module).outputs == expected, source
+
+
+class TestOneBuildPerRound:
+    @pytest.mark.parametrize("workload", ["quicksort", "cedeta"])
+    @pytest.mark.parametrize("strategy", ["aggressive", "conservative"])
+    def test_builds_equal_passes_plus_merging_rounds(
+        self, monkeypatch, workload, strategy
+    ):
+        """Each pass builds its graphs once, plus once more after every
+        round that merged something: the round that merges nothing hands
+        its graphs to the coloring phases instead of building again."""
+        counts = {"builds": 0, "merging_rounds": 0}
+        build = driver_mod.build_interference_graphs
+        merge = coalesce_mod._merge_round
+
+        def counting_build(*args, **kwargs):
+            counts["builds"] += 1
+            return build(*args, **kwargs)
+
+        def counting_merge(*args, **kwargs):
+            removed = merge(*args, **kwargs)
+            counts["merging_rounds"] += removed > 0
+            return removed
+
+        monkeypatch.setattr(driver_mod, "build_interference_graphs",
+                            counting_build)
+        monkeypatch.setattr(coalesce_mod, "build_interference_graphs",
+                            counting_build)
+        monkeypatch.setattr(coalesce_mod, "_merge_round", counting_merge)
+
+        passes = 0
+        for function in get_workload(workload).compile():
+            result = allocate_function(function, rt_pc(), "briggs",
+                                       coalesce=strategy)
+            passes += result.stats.pass_count
+        assert counts["merging_rounds"] > 0
+        assert counts["builds"] == passes + counts["merging_rounds"]
